@@ -6,7 +6,8 @@ per-sample scalar loop on a 1000-sample batch, compiled bit-parallel gate
 simulation at least 10x the interpreted walk on 64+ vector sweeps, the
 ``codegen`` engine at least 3x ``interp`` on the 45-gate multiplier's
 packed hot path, the ``native`` (compiled C) engine at least 2x ``codegen``
-on the same workload where a C toolchain exists — checks the roofline
+on the same workload where a C toolchain exists, the sequential kernel at
+least half of a 65,536-row gate-level SVM call — checks the roofline
 section is recorded, and refreshes
 ``BENCH_simulation.json`` at the repo root so the throughput trajectory is
 tracked from this PR onward.
@@ -43,6 +44,12 @@ MIN_ENGINE_SPEEDUP = 3.0
 #: floor (measured: ~3x on the reference machine at 8192 vectors).  Skipped
 #: on hosts without a C toolchain, where ``native`` degrades to ``codegen``.
 MIN_NATIVE_VS_CODEGEN = 2.0
+#: Minimum share of one 65,536-row ``simulate_gate_level`` call spent in the
+#: sequential kernel (``run_packed``) on the 10x16 sequential-SVM top.  The
+#: rest is quantize, bit-planes, pack and decode.  Measured on a 2-CPU host:
+#: 0.24 when the whole trace was unpacked to int64, 0.72-0.83 with the
+#: packed path that decodes only the final prediction bus.
+MIN_GATE_LEVEL_KERNEL_SHARE = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +90,20 @@ def test_sequential_engine_speedup_floor(bench_results):
             f"{name}: sequential engine only {record['speedup']:.1f}x over "
             f"the per-cycle interpreted walk (floor {MIN_SEQUENTIAL_SPEEDUP}x)"
         )
+
+
+@pytest.mark.perf_smoke
+def test_gate_level_call_is_mostly_kernel(bench_results):
+    """A gate-level SVM call must spend most of its time clocking the cone,
+    not packing inputs or unpacking outputs — bit-exactly vs ``run_batch``."""
+    record = bench_results["gate_level_call"]
+    assert record["equivalent"] == 1.0, "gate-level ids diverged from run_batch"
+    assert record["n_vectors"] >= 65536
+    assert record["kernel_share"] >= MIN_GATE_LEVEL_KERNEL_SHARE, (
+        f"kernel is only {record['kernel_share']:.2f} of a "
+        f"{1000 * record['call_s']:.0f} ms simulate_gate_level call "
+        f"(floor {MIN_GATE_LEVEL_KERNEL_SHARE})"
+    )
 
 
 @pytest.mark.perf_smoke

@@ -265,27 +265,28 @@ class SequentialSVMDesign:
         Every sample's quantized codes are held on the input pins for
         ``n_classifiers`` cycles through the bit-parallel sequential engine;
         the prediction is the best-class register's load value during the
-        final cycle.  ``opt_level > 0`` simulates the pass-optimized
-        combinational regions instead of the raw ones; ``engine`` selects
-        the execution backend for the per-cycle cone
-        (see :mod:`repro.perf.engines`).
+        final cycle.  The run stays in packed words end to end: only the
+        final cycle's prediction bus is unpacked
+        (:meth:`~repro.perf.seqsim.SequentialEvaluator.final_lanes`).
+        ``opt_level > 0`` simulates the pass-optimized combinational regions
+        instead of the raw ones; ``engine`` selects the execution backend
+        for the per-cycle cone (see :mod:`repro.perf.engines`).
         """
         from repro.perf.bitsim import words_to_ints
-        from repro.perf.seqsim import simulate_sequential_batch
+        from repro.perf.seqsim import sequential_evaluator_for
 
         netlist, ports = self.gate_netlist()
         codes = self.model.quantize_inputs(np.asarray(X))
         if codes.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        trace = simulate_sequential_batch(
-            netlist,
-            ports.input_matrix(codes),
-            cycles=ports.n_classifiers,
-            library=self.library,
-            opt_level=opt_level,
-            engine=engine,
+        evaluator = sequential_evaluator_for(
+            netlist, self.library, opt_level=opt_level, engine=engine
         )
-        return words_to_ints(trace[-1], ports.pred_lanes())
+        pred_lanes = ports.pred_lanes()
+        bits = evaluator.final_lanes(
+            ports.input_matrix(codes), ports.n_classifiers, pred_lanes
+        )
+        return words_to_ints(bits, range(len(pred_lanes)))
 
     def verify_gate_level(
         self, X: np.ndarray, opt_level: int = 0, engine: str = "auto"

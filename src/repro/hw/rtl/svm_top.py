@@ -206,20 +206,29 @@ class SequentialSVMPorts:
         """Expand quantized input codes into the top's primary-input columns.
 
         ``codes`` has shape ``(n_samples, n_features)`` of unsigned input
-        codes; returns the ``(n_samples, n_features * input_bits)`` 0/1
-        matrix in primary-input order, ready for
-        :func:`repro.perf.seqsim.simulate_sequential_batch`.
+        codes; returns the ``(n_samples, n_features * input_bits)`` ``uint8``
+        0/1 matrix in primary-input order, ready for
+        :func:`repro.perf.seqsim.simulate_sequential_batch`.  The matrix is
+        stored column by column (a transposed view of one contiguous
+        bit-plane per input line), so
+        :func:`~repro.perf.bitsim.pack_vectors` reads each line contiguously.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != self.n_features:
             raise ValueError(
                 f"expected (n_samples, {self.n_features}) codes, got {codes.shape}"
             )
-        if codes.size and (codes.min() < 0 or codes.max() >= 1 << self.input_bits):
+        max_code = (1 << self.input_bits) - 1
+        if codes.size and (codes.min() < 0 or codes.max() > max_code):
             raise ValueError(f"input codes out of {self.input_bits}-bit range")
-        shifts = np.arange(self.input_bits, dtype=np.int64)
-        bits = (codes[:, :, None] >> shifts) & 1
-        return bits.reshape(codes.shape[0], -1)
+        n_samples = codes.shape[0]
+        by_feature = np.ascontiguousarray(
+            codes.astype(np.min_scalar_type(max_code)).T
+        )
+        planes = np.empty((self.n_features, self.input_bits, n_samples), dtype=np.uint8)
+        for b in range(self.input_bits):
+            np.bitwise_and(by_feature >> b, 1, out=planes[:, b], casting="unsafe")
+        return planes.reshape(-1, n_samples).T
 
     # Output column ranges (in ``netlist.outputs`` order).
     def score_lanes(self) -> range:

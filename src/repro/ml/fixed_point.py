@@ -21,9 +21,9 @@ Example
 >>> fmt = FixedPointFormat(integer_bits=1, fraction_bits=3, signed=True)
 >>> fmt.total_bits
 5
->>> fmt.quantize(0.3)
+>>> print(fmt.quantize(0.3))
 0.25
->>> fmt.to_code(0.3)
+>>> print(fmt.to_code(0.3))
 2
 """
 

@@ -15,6 +15,11 @@ tracked PR over PR:
   gate-level sequential-SVM top, a binary counter) vs the interpreted
   per-cycle walk, in cycle-evals/s, with bit-exactness asserted on every
   run.
+* **gate-level call** — one
+  :meth:`~repro.core.sequential_svm.SequentialSVMDesign.simulate_gate_level`
+  at 65,536 rows on a pendigits-sized sequential-SVM top, split into the
+  kernel (``run_packed``) and everything around it (quantize, bit-planes,
+  pack, decode); the kernel's share of the call is the number to keep high.
 * **netlist opt** — gate-count reduction of the :mod:`repro.hw.opt` pass
   pipeline on the hardwired constant-datapath workloads (tied-operand MAC /
   multiplier), plus the simulation speedup of evaluating the optimized
@@ -319,6 +324,78 @@ def benchmark_sequential(
     return results
 
 
+def _gate_level_call_design(seed: int):
+    """A sequential SVM the size of the pendigits design: 10 x 16, 4/6-bit."""
+    from repro.core.sequential_svm import SequentialSVMDesign
+    from repro.ml.fixed_point import signed_coefficient_format, unsigned_input_format
+    from repro.ml.quantization import QuantizedLinearModel
+
+    rng = np.random.default_rng(seed)
+    n_classifiers, n_features = 10, 16
+    model = QuantizedLinearModel(
+        weight_codes=rng.integers(-31, 32, size=(n_classifiers, n_features)),
+        bias_codes=rng.integers(-200, 201, size=n_classifiers),
+        input_format=unsigned_input_format(4),
+        weight_format=signed_coefficient_format(6),
+        strategy="ovr",
+        classes=np.arange(n_classifiers),
+    )
+    return SequentialSVMDesign(model, dataset="bench-10x16")
+
+
+def benchmark_gate_level_call(
+    n_vectors: int = 65536, seed: int = 0, repeats: int = 3
+) -> Dict[str, float]:
+    """One ``simulate_gate_level`` call and the kernel's share of it.
+
+    The call runs at ``opt_level=2`` and ``engine='auto'``, as in the
+    ``perfbench`` gate-sim workload.  The kernel is
+    :meth:`~repro.perf.seqsim.SequentialEvaluator.run_packed` (the
+    per-cycle cone); the rest of the call is quantization, bit-plane
+    expansion, packing and decoding.  The kernel is timed by shadowing
+    ``run_packed`` on the cached evaluator instance for the timed calls
+    only.  Records the fastest of ``repeats`` calls and the kernel share of
+    that call; the ids are checked against the behavioural ``run_batch``.
+    """
+    opt_level = 2
+    design = _gate_level_call_design(seed)
+    X = np.random.default_rng(seed + 1).random((n_vectors, design.n_features))
+    netlist, _ = design.gate_netlist()
+    ids = design.simulate_gate_level(X, opt_level=opt_level)  # compile + warm up
+    expected = design.simulator.run_batch(design.model.quantize_inputs(X))
+    evaluator = sequential_evaluator_for(netlist, design.library, opt_level=opt_level)
+    run_packed = evaluator.run_packed
+    kernel_s: List[float] = []
+
+    def timed_run_packed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return run_packed(*args, **kwargs)
+        finally:
+            kernel_s.append(time.perf_counter() - start)
+
+    calls = []
+    evaluator.run_packed = timed_run_packed
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            design.simulate_gate_level(X, opt_level=opt_level)
+            calls.append((time.perf_counter() - start, kernel_s[-1]))
+    finally:
+        del evaluator.run_packed
+    call_s, kernel = min(calls)
+    return {
+        "n_gates": float(netlist.n_gates()),
+        "n_vectors": float(n_vectors),
+        "cycles": float(design.n_classifiers),
+        "equivalent": 1.0 if np.array_equal(ids, expected) else 0.0,
+        "call_s": call_s,
+        "kernel_s": kernel,
+        "kernel_share": kernel / call_s,
+        "vectors_per_s": n_vectors / call_s,
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Roofline: per-engine throughput vs measured memory bandwidth
 # --------------------------------------------------------------------------- #
@@ -387,10 +464,15 @@ def benchmark_roofline(
         "engines": engines,
     }
     if "native" in engines:
-        # Thread-scaling curve on a batch wide enough that one shard's work
-        # dwarfs the pool handoff (>= 1024 words per shard at 4 shards).
-        scale_vectors = max(n_vectors, 262_144)
-        wide = rng.integers(0, 2, size=(scale_vectors, len(netlist.inputs)))
+        from repro.perf.native import NATIVE_PARALLEL_MIN_WORDS
+
+        # Thread-scaling curve at twice the width where automatic sharding
+        # starts (NATIVE_PARALLEL_MIN_WORDS), so the check covers the
+        # batches the auto path actually shards.
+        scale_vectors = max(n_vectors, 2 * 64 * NATIVE_PARALLEL_MIN_WORDS)
+        wide = rng.integers(
+            0, 2, size=(scale_vectors, len(netlist.inputs)), dtype=np.uint8
+        )
         packed_wide, _ = pack_vectors(wide)
         evaluator = evaluator_for(netlist, engine="native")
         slots = evaluator.program.output_slots
@@ -493,6 +575,7 @@ def run_simulation_benchmark(fast: bool = True, seed: int = 0) -> Dict:
         netlist_opt = benchmark_optimization(n_vectors=256, seed=seed)
         sequential = benchmark_sequential(n_vectors=64, seed=seed)
         roofline = benchmark_roofline(n_vectors=8192, seed=seed)
+        gate_level_call = benchmark_gate_level_call(seed=seed)
     else:
         datapath = benchmark_datapath(
             n_classifiers=26, n_features=32, n_samples=20000, seed=seed
@@ -501,6 +584,7 @@ def run_simulation_benchmark(fast: bool = True, seed: int = 0) -> Dict:
         netlist_opt = benchmark_optimization(n_vectors=4096, seed=seed)
         sequential = benchmark_sequential(n_vectors=256, seed=seed)
         roofline = benchmark_roofline(n_vectors=65536, seed=seed)
+        gate_level_call = benchmark_gate_level_call(seed=seed, repeats=7)
     min_speedups = {
         "datapath_batch": min(r["speedup"] for r in datapath.values()),
         "gate_level_bitsim": min(r["speedup"] for r in gates.values()),
@@ -526,6 +610,7 @@ def run_simulation_benchmark(fast: bool = True, seed: int = 0) -> Dict:
         "datapath": datapath,
         "gate_level": gates,
         "sequential_sim": sequential,
+        "gate_level_call": gate_level_call,
         "netlist_opt": netlist_opt,
         "roofline": roofline,
         "min_speedups": min_speedups,
@@ -602,6 +687,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for group in ("datapath", "gate_level", "sequential_sim"):
         for name, record in results[group].items():
             print(f"{group:14s} {name:24s} speedup {record['speedup']:8.1f}x")
+    call = results["gate_level_call"]
+    print(
+        f"{'gate-call':14s} {'simulate_gate_level':24s} "
+        f"{1000 * call['call_s']:.1f} ms, kernel share {call['kernel_share']:.2f}"
+    )
     for name, record in results["netlist_opt"].items():
         print(
             f"{'opt':10s} {name:22s} "

@@ -46,15 +46,18 @@ from repro.perf.compile import (
 )
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_BIT_POSITIONS = np.arange(64, dtype=np.uint64)
 
 
 def pack_vectors(bits: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Pack a ``(n_vectors, n_lines)`` 0/1 matrix into ``uint64`` words.
+    """Pack a ``(n_vectors, n_lines)`` bit matrix into ``uint64`` words.
 
     Returns ``(packed, n_vectors)`` where ``packed`` has shape
-    ``(n_lines, n_words)`` and bit ``s`` of ``packed[l, w]`` is
-    ``bits[64*w + s, l]``.
+    ``(n_lines, n_words)``, ``n_words = max(ceil(n_vectors / 64), 1)``, and
+    bit ``s`` of ``packed[l, w]`` is ``bits[64*w + s, l] != 0`` — any
+    nonzero entry packs as 1.  The ragged tail of the last word is
+    zero-padded, and an empty batch packs to one zero word per line.  The
+    layout is fixed by the bit order alone (bytes are read little-endian),
+    so it is the same on every host.
 
     Example::
 
@@ -66,16 +69,35 @@ def pack_vectors(bits: np.ndarray) -> Tuple[np.ndarray, int]:
         raise ValueError("expected a 2-D (n_vectors, n_lines) bit matrix")
     n_vectors, n_lines = bits.shape
     n_words = max((n_vectors + 63) // 64, 1)
-    padded = np.zeros((n_words * 64, n_lines), dtype=np.uint64)
-    padded[:n_vectors] = (bits != 0).astype(np.uint64)
-    # (n_lines, n_words, 64) -> shift each sample to its bit position, OR up.
-    lanes = padded.T.reshape(n_lines, n_words, 64)
-    packed = np.bitwise_or.reduce(lanes << _BIT_POSITIONS, axis=2)
-    return packed, n_vectors
+    lanes = np.zeros((n_lines, n_words * 64), dtype=bool)
+    np.not_equal(bits.T, 0, out=lanes[:, :n_vectors])
+    # Byte k of a line holds vectors 8k..8k+7 (LSB first), so eight bytes
+    # read little-endian form the word with vector 64w+s at bit s.
+    packed = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    return packed.astype(np.uint64, copy=False), n_vectors
+
+
+def unpack_lanes(packed: np.ndarray, n_vectors: int) -> np.ndarray:
+    """Unpack ``(n_lines, n_words)`` words into ``(n_lines, n_vectors)`` bits.
+
+    The line-major ``uint8`` form of :func:`unpack_vectors`, for callers
+    that only read a few lines or want to pick their own layout.
+
+    Example::
+
+        unpack_lanes(packed, n)[line]      # (n,) 0/1 values of one line
+    """
+    words = np.ascontiguousarray(packed, dtype="<u8")
+    if words.ndim != 2:
+        raise ValueError("expected packed words of shape (n_lines, n_words)")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :n_vectors]
 
 
 def unpack_vectors(packed: np.ndarray, n_vectors: int) -> np.ndarray:
     """Inverse of :func:`pack_vectors`: ``(n_lines, n_words)`` -> bit matrix.
+
+    Returns the ``(n_vectors, n_lines)`` int64 0/1 matrix.
 
     Example::
 
@@ -83,10 +105,7 @@ def unpack_vectors(packed: np.ndarray, n_vectors: int) -> np.ndarray:
         packed, n = pack_vectors(bits)
         assert np.array_equal(unpack_vectors(packed, n), bits)
     """
-    packed = np.asarray(packed, dtype=np.uint64)
-    bits = (packed[:, :, None] >> _BIT_POSITIONS) & np.uint64(1)
-    n_lines = packed.shape[0]
-    return bits.reshape(n_lines, -1).T[:n_vectors].astype(np.int64)
+    return unpack_lanes(packed, n_vectors).T.astype(np.int64)
 
 
 class BitParallelEvaluator:
@@ -336,8 +355,9 @@ def words_to_ints(bits: np.ndarray, lanes: Sequence[int]) -> np.ndarray:
 
         sums = words_to_ints(out_bits, [0, 1, 2, 3])   # 4-bit LSB-first bus
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     value = np.zeros(bits.shape[0], dtype=np.int64)
+    # Cast only the selected lanes: callers pass whole output planes.
     for k, lane in enumerate(lanes):
         value |= bits[:, lane].astype(np.int64) << k
     return value

@@ -39,7 +39,7 @@ calls it through :mod:`ctypes`:
 
 Tuning knobs (all validated at import): ``$REPRO_NATIVE_THREADS`` (shards
 per large batch, default ``min(4, cpu_count)``), ``$REPRO_NATIVE_MIN_WORDS``
-(single-thread threshold, default 2048 words = 128 Ki vectors),
+(single-thread threshold, default 8192 words = 512 Ki vectors),
 ``$REPRO_NO_NATIVE`` (force the fallback path, used by CI to keep it from
 rotting).
 
@@ -80,9 +80,11 @@ NATIVE_THREADS = _env_int(
 )
 
 #: Batches narrower than this many words run single-threaded
-#: (``$REPRO_NATIVE_MIN_WORDS``).  2048 words = 128 Ki vectors: below that
-#: a kernel call finishes in microseconds and pool handoff would dominate.
-NATIVE_PARALLEL_MIN_WORDS = _env_int("REPRO_NATIVE_MIN_WORDS", 2048, minimum=1)
+#: (``$REPRO_NATIVE_MIN_WORDS``).  8192 words = 512 Ki vectors: the 45-gate
+#: multiplier's crossover on 2 CPUs (2 shards read ~0.4-0.5x of one thread
+#: at 2048 words, ~0.7-0.9x at 4096, ~1.0-1.2x at 8192, ~1.4-1.6x at
+#: 16384); below it a kernel call is over before pool handoff pays off.
+NATIVE_PARALLEL_MIN_WORDS = _env_int("REPRO_NATIVE_MIN_WORDS", 8192, minimum=1)
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 

@@ -50,7 +50,7 @@ import numpy as np
 from repro.hw.cells import CellLibrary
 from repro.hw.netlist import GateNetlist
 from repro.hw.pdk import EGFET_PDK
-from repro.perf.bitsim import pack_vectors, unpack_vectors
+from repro.perf.bitsim import pack_vectors, unpack_lanes, unpack_vectors
 from repro.perf.compile import CompiledProgram, compile_netlist
 from repro.perf.engines import make_evaluator, resolve_engine
 
@@ -308,19 +308,14 @@ class SequentialEvaluator:
             state = result[n_outputs:]
         return trace, state
 
-    def run(
-        self,
-        input_bits: np.ndarray,
-        cycles: Optional[int] = None,
-        init: InitSpec = None,
-    ) -> np.ndarray:
-        """Clock a batch of vectors; returns ``(cycles, n_vectors, n_outputs)``.
+    def _clock(
+        self, input_bits: np.ndarray, cycles: Optional[int], init: InitSpec
+    ) -> "tuple[np.ndarray, np.ndarray, int, int]":
+        """Validate, pack and clock held or streamed inputs.
 
-        ``input_bits`` is either ``(n_vectors, n_inputs)`` — the same input
-        vector held on the pins for the whole run, the sequential-SVM usage —
-        or ``(cycles, n_vectors, n_inputs)`` for per-cycle input streams.
-        ``cycles`` is mandatory for 2-D inputs and must match (or be omitted)
-        for 3-D streams.  ``cycles=0`` returns an empty, well-shaped trace.
+        Returns ``(trace, final_state, n_vectors, cycles)`` with the trace
+        and state still in packed words; see :meth:`run` for the accepted
+        shapes.
         """
         seq = self.seq
         input_bits = np.asarray(input_bits)
@@ -361,16 +356,61 @@ class SequentialEvaluator:
             raise ValueError("cycles must be >= 0")
         n_words = max((n_vectors + 63) // 64, 1)
         state = self._init_words(init, n_vectors, n_words)
-        trace, _ = self.run_packed(packed, cycles, state)
+        trace, state = self.run_packed(packed, cycles, state)
+        return trace, state, n_vectors, int(cycles)
+
+    def run(
+        self,
+        input_bits: np.ndarray,
+        cycles: Optional[int] = None,
+        init: InitSpec = None,
+    ) -> np.ndarray:
+        """Clock a batch of vectors; returns ``(cycles, n_vectors, n_outputs)``.
+
+        ``input_bits`` is either ``(n_vectors, n_inputs)`` — the same input
+        vector held on the pins for the whole run, the sequential-SVM usage —
+        or ``(cycles, n_vectors, n_inputs)`` for per-cycle input streams.
+        ``cycles`` is mandatory for 2-D inputs and must match (or be omitted)
+        for 3-D streams.  ``cycles=0`` returns an empty, well-shaped trace.
+        """
+        seq = self.seq
+        trace, _, n_vectors, cycles = self._clock(input_bits, cycles, init)
         if cycles == 0:
             return np.zeros((0, n_vectors, seq.n_outputs), dtype=np.int64)
-        flat = trace.reshape(int(cycles) * seq.n_outputs, n_words)
-        bits = unpack_vectors(flat, n_vectors)  # (n_vectors, cycles*n_outputs)
+        flat = trace.reshape(cycles * seq.n_outputs, trace.shape[-1])
+        bits = unpack_lanes(flat, n_vectors)  # (cycles*n_outputs, n_vectors)
         return (
-            bits.T.reshape(int(cycles), seq.n_outputs, n_vectors)
+            bits.reshape(cycles, seq.n_outputs, n_vectors)
             .transpose(0, 2, 1)
             .astype(np.int64)
         )
+
+    def final_lanes(
+        self,
+        input_bits: np.ndarray,
+        cycles: Optional[int],
+        lanes: Sequence[int],
+        init: InitSpec = None,
+    ) -> np.ndarray:
+        """Selected outputs of the final cycle: ``(n_vectors, len(lanes))`` ``uint8``.
+
+        Clocks like :meth:`run` (same input shapes and ``cycles`` rules) but
+        keeps the trace in packed words and unpacks only the ``lanes`` rows
+        (indices into ``seq.output_names``) of the last cycle — equal to
+        ``run(...)[-1][:, lanes]`` without ever building the trace.  At least
+        one cycle is required.  Decode a bus from the bits with
+        :func:`~repro.perf.bitsim.words_to_ints`.
+
+        Example::
+
+            bits = evaluator.final_lanes(inputs, n_classes, lanes=[4, 5])
+            words_to_ints(bits, range(2))     # the 2-bit bus, per vector
+        """
+        trace, _, n_vectors, cycles = self._clock(input_bits, cycles, init)
+        if cycles == 0:
+            raise ValueError("final_lanes needs at least one cycle")
+        rows = trace[-1][np.asarray(lanes, dtype=np.int64)]
+        return unpack_lanes(rows, n_vectors).T
 
     def final_state(
         self,
@@ -385,18 +425,7 @@ class SequentialEvaluator:
             state = evaluator.final_state(inputs, cycles=5)
             dict(zip(evaluator.seq.state_names, state[0]))
         """
-        seq = self.seq
-        input_bits = np.asarray(input_bits)
-        n_vectors = input_bits.shape[-2] if input_bits.ndim == 3 else input_bits.shape[0]
-        n_words = max((n_vectors + 63) // 64, 1)
-        if input_bits.ndim == 3:
-            packed = np.stack(
-                [pack_vectors(input_bits[t])[0] for t in range(int(cycles))]
-            ) if cycles else np.zeros((0, seq.n_inputs, n_words))
-        else:
-            packed, _ = pack_vectors(input_bits)
-        state = self._init_words(init, n_vectors, n_words)
-        _, state = self.run_packed(packed, cycles, state)
+        _, state, n_vectors, _ = self._clock(input_bits, cycles, init)
         return unpack_vectors(state, n_vectors)
 
 

@@ -18,6 +18,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -30,15 +31,24 @@ LATENCY_RESERVOIR_SIZE = 4096
 def percentile(sorted_values, fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sequence.
 
+    Returns the value at 0-based rank ``ceil(fraction * n) - 1`` (clamped to
+    the sample), the definition of
+    ``numpy.percentile(..., method="inverted_cdf")``.  The product is
+    rounded to 9 decimals before the ceiling, so a fraction written in
+    decimal keeps its exact rank: ``0.95 * 20`` is
+    ``19.000000000000004`` in floating point, but p95 of 20 samples is
+    the 19th value, not the 20th.  An empty sequence reads 0.0.
+
     Example::
 
         >>> percentile([1.0, 2.0, 3.0, 4.0], 0.5)
         2.0
     """
-    if not sorted_values:
+    n = len(sorted_values)
+    if not n:
         return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(fraction * len(sorted_values))))
-    return float(sorted_values[rank])
+    rank = math.ceil(round(fraction * n, 9)) - 1
+    return float(sorted_values[min(n - 1, max(0, rank))])
 
 
 class StatsRecorder:

@@ -16,6 +16,7 @@ from repro.hw.simulate import (
     simulate_sequential_reference,
 )
 from repro.perf.bitsim import words_to_ints, words_to_signed_ints
+from repro.perf.engines import available_engines
 from repro.perf.seqsim import (
     compile_sequential,
     sequential_evaluator_for,
@@ -245,6 +246,41 @@ class TestSequentialSVMTop:
             ports.input_matrix(np.array([[1, 2, 3]]))  # wrong feature count
 
 
+class TestFinalCycleLanes:
+    """``final_lanes`` decodes the last cycle from packed words only."""
+
+    @pytest.mark.parametrize("n_vectors", [1, 63, 64, 65, 130])
+    def test_matches_the_full_trace(self, n_vectors):
+        rng = np.random.default_rng(n_vectors)
+        weights = rng.integers(-7, 8, size=(5, 3))
+        biases = rng.integers(-20, 21, size=5)
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=2)
+        inputs = ports.input_matrix(rng.integers(0, 4, size=(n_vectors, 3)))
+        evaluator = sequential_evaluator_for(top)
+        trace = evaluator.run(inputs, cycles=ports.n_classifiers)
+        lanes = [ports.fired_lane(), *ports.pred_lanes(), 0]
+        bits = evaluator.final_lanes(inputs, ports.n_classifiers, lanes)
+        assert bits.shape == (n_vectors, len(lanes))
+        assert np.array_equal(bits, trace[-1][:, lanes])
+
+    def test_streams_and_init_follow_run(self):
+        netlist = _shift_register(3)
+        rng = np.random.default_rng(5)
+        stream = rng.integers(0, 2, size=(4, 70, 1))
+        evaluator = sequential_evaluator_for(netlist)
+        init = {"ff0": 1, "ff2": 1}
+        trace = evaluator.run(stream, init=init)
+        bits = evaluator.final_lanes(stream, None, range(3), init=init)
+        assert np.array_equal(bits, trace[-1])
+
+    def test_zero_cycles_raise(self):
+        evaluator = sequential_evaluator_for(build_counter_netlist(2))
+        with pytest.raises(ValueError):
+            evaluator.final_lanes(np.zeros((3, 0)), 0, [0])
+        with pytest.raises(ValueError):
+            evaluator.final_lanes(np.zeros((0, 3, 0)), None, [0])
+
+
 class TestDesignIntegration:
     def test_design_gate_level_agrees_with_model(self):
         from repro.core.design_flow import fast_config, run_flow
@@ -257,3 +293,46 @@ class TestDesignIntegration:
         assert np.array_equal(gate_ids, design.simulate_batch(X))
         # The netlist is built once and cached on the design.
         assert design.gate_netlist()[0] is design.gate_netlist()[0]
+
+    @pytest.mark.parametrize("engine", [e for e in available_engines() if e != "auto"])
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 200])
+    def test_gate_level_matches_run_batch_on_every_engine(
+        self, sequential_design, engine, n_rows
+    ):
+        X = np.random.default_rng(n_rows).random((n_rows, sequential_design.n_features))
+        expected = sequential_design.simulator.run_batch(
+            sequential_design.model.quantize_inputs(X)
+        )
+        for opt_level in (0, 2):
+            ids = sequential_design.simulate_gate_level(
+                X, opt_level=opt_level, engine=engine
+            )
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, expected), (engine, opt_level)
+
+    def test_empty_batch_returns_int64_zeros(self, sequential_design):
+        ids = sequential_design.simulate_gate_level(
+            np.zeros((0, sequential_design.n_features))
+        )
+        assert ids.dtype == np.int64
+        assert ids.shape == (0,)
+
+    def test_out_of_range_codes_raise(self, sequential_design):
+        _, ports = sequential_design.gate_netlist()
+        top_code = (1 << ports.input_bits) - 1
+        codes = np.full((3, ports.n_features), top_code)
+        assert ports.input_matrix(codes).dtype == np.uint8
+        for bad in (top_code + 1, -1):
+            codes[1, 0] = bad
+            with pytest.raises(ValueError):
+                ports.input_matrix(codes)
+
+    def test_input_matrix_bits_are_lsb_first_per_feature(self):
+        _, ports = build_sequential_svm_netlist(
+            np.array([[1, 1, 1]]), np.array([0]), input_bits=3
+        )
+        codes = np.array([[5, 0, 7], [2, 6, 1]])
+        expected = (codes[:, :, None] >> np.arange(3)) & 1
+        bits = ports.input_matrix(codes)
+        assert bits.shape == (2, 9)
+        assert np.array_equal(bits, expected.reshape(2, 9))
