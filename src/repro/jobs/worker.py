@@ -10,8 +10,9 @@ both halves:
   ``MSG_REQUEST`` frame (consulting the in-process and on-disk flow caches
   read-only; the *scheduler* persists results, so the disk cache never has
   concurrent writers);
-* :class:`FlowWorker` — the scheduler's handle: spawn, synchronous
-  call-with-timeout, heartbeat, kill, graceful stop.
+* :class:`FlowWorker` — the scheduler's handle: a
+  :class:`~repro.serve.supervise.ChildProcess` (spawn, fd hygiene, kill,
+  graceful stop) plus a synchronous call-with-timeout and heartbeat.
 
 Crash semantics are the transport's own: a worker SIGKILLed mid-job
 surfaces as EOF/torn-frame/timeout on the scheduler side and raises
@@ -19,11 +20,6 @@ surfaces as EOF/torn-frame/timeout on the scheduler side and raises
 worker *reports* (bad spec, deterministic training failure) arrives as an
 ``MSG_ERROR`` frame and raises :class:`JobRejected` — permanent, because
 retrying a deterministic failure can only fail the same way.
-
-Fd hygiene matters here exactly as in :mod:`repro.serve.worker`: each child
-closes the parent-side descriptors it inherited for its *siblings*, so that
-when the scheduler dies (even by SIGKILL) every worker sees EOF on its own
-connection and exits instead of orphan-training forever.
 
 Example::
 
@@ -35,7 +31,6 @@ Example::
 
 from __future__ import annotations
 
-import os
 import socket
 import time
 from itertools import count
@@ -44,6 +39,7 @@ from typing import Callable, Iterable, Optional, Tuple
 from repro.core.design_flow import FlowResult, cached_flow_result, run_flow
 from repro.core.flow_executor import FlowResultCache
 from repro.jobs.manifest import JobSpec
+from repro.serve.supervise import ChildProcess, receive_loop, send_quietly
 from repro.serve.transport import (
     ERROR_INTERNAL,
     ERROR_VALUE,
@@ -51,13 +47,10 @@ from repro.serve.transport import (
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
-    MSG_SHUTDOWN,
     FrameConnection,
     TransportError,
     WorkerCrashed,
-    connection_pair,
 )
-from repro.serve.worker import _mp_context
 
 #: ``source`` values a worker reports with each finished job.
 SOURCE_TRAINED = "trained"
@@ -93,73 +86,27 @@ def _run_job(spec: JobSpec, disk: Optional[FlowResultCache]) -> Tuple[FlowResult
     return run_flow(spec.dataset, spec.kind, spec.config), SOURCE_TRAINED
 
 
-def flow_worker_main(
-    child_sock: socket.socket,
-    cache_dir: Optional[str],
-    close_fds: Iterable[int] = (),
-) -> None:
+def flow_worker_main(conn: FrameConnection, cache_dir: Optional[str]) -> None:
     """Child-process entry point: one synchronous job loop over the wire.
-
-    ``close_fds`` are parent-side descriptors inherited over the fork (the
-    scheduler's ends of sibling workers' sockets); closing them keeps a
-    sibling's — and the scheduler's — death visible as EOF.
 
     Example::
 
-        flow_worker_main(child_sock, cache_dir=None)
+        flow_worker_main(conn, cache_dir=None)
     """
-    own = child_sock.fileno()
-    for fd in close_fds:
-        if fd == own:
-            continue  # a recycled number could alias our own socket
-        try:
-            os.close(fd)
-        except OSError:
-            pass
     disk = FlowResultCache(cache_dir) if cache_dir is not None else None
-    conn = FrameConnection(child_sock)
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except TransportError:
-                break
-            if message is None:
-                break  # scheduler gone (EOF): exit, never orphan-train
-            kind, body = message
-            if kind == MSG_SHUTDOWN:
-                break
-            if kind == MSG_CONTROL:
-                req_id, op, _arg = body
-                if op == "ping":
-                    _safe_send(conn, MSG_RESPONSE, (req_id, {"pid": os.getpid()}))
-                else:
-                    _safe_send(
-                        conn,
-                        MSG_ERROR,
-                        (req_id, ERROR_VALUE, f"unknown control op {op!r}"),
-                    )
-            elif kind == MSG_REQUEST:
-                req_id, job_doc = body
-                try:
-                    spec = JobSpec.from_json(job_doc)
-                    result, source = _run_job(spec, disk)
-                except (KeyError, TypeError, ValueError) as error:
-                    _safe_send(conn, MSG_ERROR, (req_id, ERROR_VALUE, f"{error}"))
-                except Exception as error:
-                    _safe_send(conn, MSG_ERROR, (req_id, ERROR_INTERNAL, f"{error}"))
-                else:
-                    _safe_send(conn, MSG_RESPONSE, (req_id, (result, source)))
-    finally:
-        conn.close()
 
+    def run(req_id: int, job_doc: dict) -> None:
+        try:
+            spec = JobSpec.from_json(job_doc)
+            result, source = _run_job(spec, disk)
+        except (KeyError, TypeError, ValueError) as error:
+            send_quietly(conn, MSG_ERROR, (req_id, ERROR_VALUE, f"{error}"))
+        except Exception as error:
+            send_quietly(conn, MSG_ERROR, (req_id, ERROR_INTERNAL, f"{error}"))
+        else:
+            send_quietly(conn, MSG_RESPONSE, (req_id, (result, source)))
 
-def _safe_send(conn: FrameConnection, kind: int, body) -> None:
-    """Send, swallowing a dead-parent ``OSError`` (the loop exits on recv)."""
-    try:
-        conn.send(kind, body)
-    except OSError:
-        pass
+    receive_loop(conn, run)
 
 
 # --------------------------------------------------------------------------- #
@@ -170,7 +117,7 @@ def _safe_send(conn: FrameConnection, kind: int, body) -> None:
 ConnectionWrapper = Callable[[FrameConnection, object], FrameConnection]
 
 
-class FlowWorker:
+class FlowWorker(ChildProcess):
     """The scheduler's handle on one flow-worker process.
 
     Calls are *synchronous* — the scheduler runs one dedicated thread per
@@ -196,30 +143,16 @@ class FlowWorker:
     ) -> None:
         self.index = index
         self._req_ids = count(1)
-        ctx = _mp_context()
-        self.conn, child_sock = connection_pair()
-        if ctx.get_start_method() == "fork":
-            fds = {conn.fileno for conn in sibling_conns} | {self.conn.fileno}
-            fds = tuple(fd for fd in fds if fd >= 0)
-        else:  # spawn pickles fresh sockets; inherited-fd hygiene is moot
-            fds = ()
-        self.process = ctx.Process(
-            target=flow_worker_main,
-            args=(child_sock, cache_dir, fds),
+        super().__init__(
+            flow_worker_main,
+            (cache_dir,),
             name=f"repro-jobs-worker-{index}",
-            daemon=True,
+            sibling_conns=sibling_conns,
         )
-        self.process.start()
-        child_sock.close()
-        self.pid = self.process.pid
         if connection_wrapper is not None:
             self.conn = connection_wrapper(self.conn, self.process)
 
     # ------------------------------------------------------------------ #
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
     def _roundtrip(self, kind: int, body: tuple, timeout: Optional[float]):
         """One framed request/response under a deadline; crash-ish -> raise."""
         req_id = next(self._req_ids)
@@ -268,25 +201,3 @@ class FlowWorker:
     def ping(self, timeout: Optional[float]) -> dict:
         """Heartbeat; a delayed or lost pong raises :class:`WorkerCrashed`."""
         return self._roundtrip(MSG_CONTROL, ("ping", None), timeout)
-
-    # ------------------------------------------------------------------ #
-    def kill(self) -> None:
-        """SIGKILL the worker and close the (possibly poisoned) connection."""
-        try:
-            self.process.kill()
-        except Exception:
-            pass
-        self.process.join(timeout=5.0)
-        self.conn.close()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Graceful exit: shutdown frame, join, escalate only if it lingers."""
-        try:
-            self.conn.send(MSG_SHUTDOWN, (False,))
-        except OSError:
-            pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=1.0)
-        self.conn.close()

@@ -23,6 +23,8 @@ Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 * :mod:`repro.serve.transport` / :mod:`repro.serve.worker` — the
   length-prefixed binary frame protocol and the worker-process plane
   behind ``workers=N``;
+* :mod:`repro.serve.supervise` — forking, supervising and stopping worker
+  processes, for the fleet and the :mod:`repro.jobs` pool alike;
 * :mod:`repro.serve.http` / :mod:`repro.serve.client` — the stdlib HTTP
   endpoint (``repro-serve``) and the in-process / HTTP clients;
 * :mod:`repro.serve.stats` — requests/s, batch occupancy, p50/p99 latency

@@ -639,12 +639,7 @@ class ModelServer:
             handle.shutdown(drain=drain)
         deadline = time.monotonic() + (60.0 if drain else 5.0)
         for handle in handles:
-            if not handle.join(timeout=max(deadline - time.monotonic(), 0.1)):
-                handle.process.terminate()
-                if not handle.join(timeout=1.0):
-                    handle.process.kill()
-                    handle.join(timeout=1.0)
-            handle.conn.close()
+            handle.reap(deadline)
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
 

@@ -219,18 +219,3 @@ class FrameConnection:
             pass
         self._sock.close()
 
-
-def connection_pair() -> Tuple[FrameConnection, socket.socket]:
-    """A framed parent end plus the raw child socket for one new worker.
-
-    The child's end stays a raw socket until after the fork (the worker
-    wraps it itself), so the parent can close its copy without touching
-    shared framing state.
-
-    Example::
-
-        parent_conn, child_sock = connection_pair()
-        # fork; child: FrameConnection(child_sock); parent: child_sock.close()
-    """
-    parent_sock, child_sock = socket.socketpair()
-    return FrameConnection(parent_sock), child_sock

@@ -16,10 +16,11 @@ Two halves live here:
   micro-batches complete, out of order, matched by request id), answers
   heartbeats/stats/metadata immediately, and opens cold lanes — which may
   train — on a dedicated thread so heartbeats stay responsive;
-* :class:`WorkerHandle` — the parent's view of one worker: spawns the
-  child (``fork`` server-style on POSIX), tracks in-flight requests,
-  detects crashes via connection EOF and hands the pending requests back
-  to the frontend for resubmission on the replacement worker.
+* :class:`WorkerHandle` — the parent's view of one worker: a
+  :class:`~repro.serve.supervise.ChildProcess` (spawn, fd hygiene, stop)
+  plus a reader thread that tracks in-flight requests, detects crashes via
+  connection EOF and hands the pending requests back to the frontend for
+  resubmission on the replacement worker.
 
 Example::
 
@@ -31,43 +32,32 @@ Example::
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import socket
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.serve.batching import BatcherClosed
+from repro.serve.supervise import ChildProcess, receive_loop, send_quietly
 from repro.serve.transport import (
     ERROR_CLOSED,
     ERROR_INTERNAL,
     ERROR_VALUE,
     MSG_CONTROL,
     MSG_ERROR,
-    MSG_REQUEST,
     MSG_RESPONSE,
-    MSG_SHUTDOWN,
     FrameConnection,
     TransportError,
     WorkerCrashed,
-    connection_pair,
 )
 
 #: Response shapes a predict frame may ask for.
 REQUEST_MODES = ("single", "bulk", "ids", "ids_burst")
-
-
-def _mp_context():
-    """``fork`` where available (sockets and registries inherit for free)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 @dataclass(frozen=True)
@@ -141,14 +131,10 @@ class _WorkerRuntime:
         self._opener = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="worker-open"
         )
-        self._started = time.monotonic()
 
     # -- plumbing -------------------------------------------------------- #
     def _respond(self, req_id: int, payload) -> None:
-        try:
-            self.conn.send(MSG_RESPONSE, (req_id, payload))
-        except OSError:
-            pass  # parent is gone; the loop will notice on its next recv
+        send_quietly(self.conn, MSG_RESPONSE, (req_id, payload))
 
     def _respond_error(self, req_id: int, error: BaseException) -> None:
         from repro.serve.server import ServerClosed
@@ -159,10 +145,7 @@ class _WorkerRuntime:
             kind = ERROR_CLOSED
         else:
             kind = ERROR_INTERNAL
-        try:
-            self.conn.send(MSG_ERROR, (req_id, kind, f"{error}"))
-        except OSError:
-            pass
+        send_quietly(self.conn, MSG_ERROR, (req_id, kind, f"{error}"))
 
     def _lane(self, name: str):
         """Open (possibly training) and memoize one model lane."""
@@ -266,21 +249,6 @@ class _WorkerRuntime:
             )
 
     # -- control --------------------------------------------------------- #
-    def _handle_control(self, req_id: int, op: str, arg) -> None:
-        if op == "ping":
-            self._respond(
-                req_id,
-                {"pid": os.getpid(), "uptime_s": time.monotonic() - self._started},
-            )
-        elif op == "stats":
-            self._respond(req_id, self.inner.stats())
-        elif op == "models":
-            self._respond(req_id, self.inner.models())
-        elif op == "open_lane":
-            self._opener.submit(self._open_lane, req_id, arg)
-        else:
-            self._respond_error(req_id, ValueError(f"unknown control op {op!r}"))
-
     def _open_lane(self, req_id: int, name: str) -> None:
         try:
             lane = self._lane(name)
@@ -293,27 +261,18 @@ class _WorkerRuntime:
     def run(self) -> None:
         for name in self.spec.preopen:
             self._opener.submit(self._dispatch_cold_open, name)
+        controls = {
+            "stats": lambda req_id, _: self._respond(req_id, self.inner.stats()),
+            "models": lambda req_id, _: self._respond(req_id, self.inner.models()),
+            "open_lane": partial(self._opener.submit, self._open_lane),
+        }
         drain = False
         try:
-            while True:
-                try:
-                    message = self.conn.recv()
-                except TransportError:
-                    message = None
-                if message is None:
-                    break  # parent died: fail fast, don't orphan-serve
-                kind, body = message
-                if kind == MSG_REQUEST:
-                    self._handle_request(*body)
-                elif kind == MSG_CONTROL:
-                    self._handle_control(*body)
-                elif kind == MSG_SHUTDOWN:
-                    drain = bool(body[0])
-                    break
+            # False on EOF (the parent died): fail fast, don't orphan-serve.
+            drain = receive_loop(self.conn, self._handle_request, controls)
         finally:
             self._opener.shutdown(wait=drain, cancel_futures=not drain)
             self.inner.shutdown(drain=drain)
-            self.conn.close()
 
     def _dispatch_cold_open(self, name: str) -> None:
         try:
@@ -323,27 +282,14 @@ class _WorkerRuntime:
             pass
 
 
-def worker_main(child_sock: socket.socket, registry, spec: WorkerSpec,
-                close_fds: Iterable[int] = ()) -> None:
-    """Child-process entry point (run via ``multiprocessing.Process``).
-
-    ``close_fds`` are parent-side descriptors this child inherited over the
-    fork: they are closed first so a sibling worker's death is visible to
-    the frontend as EOF (an inherited duplicate would keep the socket open).
+def worker_main(conn: FrameConnection, registry, spec: WorkerSpec) -> None:
+    """Child-process entry point (started by :class:`WorkerHandle`).
 
     Example::
 
-        worker_main(child_sock, registry, WorkerSpec(preopen=("redwine/ours",)))
+        worker_main(conn, registry, WorkerSpec(preopen=("redwine/ours",)))
     """
-    own = child_sock.fileno()
-    for fd in close_fds:
-        if fd == own:
-            continue  # a recycled number could alias our own socket
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    _WorkerRuntime(FrameConnection(child_sock), registry, spec).run()
+    _WorkerRuntime(conn, registry, spec).run()
 
 
 # --------------------------------------------------------------------------- #
@@ -361,10 +307,10 @@ class _Pending:
         self.retries = 0  # crashes survived; bounds poison-request replays
 
 
-class WorkerHandle:
+class WorkerHandle(ChildProcess):
     """The frontend's view of one live worker process.
 
-    Owns the framed connection, the reader thread that matches responses to
+    Adds to the supervised child the reader thread that matches responses to
     futures by request id, and crash detection: when the connection reaches
     EOF (worker exited or was killed) every pending call is handed to the
     ``on_death`` callback, which the frontend uses to restart the worker
@@ -398,27 +344,12 @@ class WorkerHandle:
         self._lock = threading.Lock()
         self._pending: Dict[int, _Pending] = {}
         self._req_ids = count(1)
-
-        ctx = _mp_context()
-        self.conn, child_sock = connection_pair()
-        if ctx.get_start_method() == "fork":
-            # Parent-side fds the child inherits over the fork and must close
-            # so a sibling's death is visible as EOF.  Filenos are resolved
-            # at the last moment — conns closed since the caller collected
-            # them report -1 and drop out.
-            fds = {conn.fileno for conn in sibling_conns} | {self.conn.fileno}
-            fds = tuple(fd for fd in fds if fd >= 0)
-        else:  # spawn pickles fresh sockets; inherited-fd hygiene is moot
-            fds = ()
-        self.process = ctx.Process(
-            target=worker_main,
-            args=(child_sock, registry, spec, fds),
+        super().__init__(
+            worker_main,
+            (registry, spec),
             name=f"repro-serve-worker-{index}",
-            daemon=True,
+            sibling_conns=sibling_conns,
         )
-        self.process.start()
-        child_sock.close()
-        self.pid = self.process.pid
         self.spawned = time.monotonic()
         self._reader = threading.Thread(
             target=self._read_loop, name=f"worker-reader-{index}", daemon=True
@@ -428,7 +359,7 @@ class WorkerHandle:
     # ------------------------------------------------------------------ #
     @property
     def alive(self) -> bool:
-        return not self._dead and self.process.is_alive()
+        return not self._dead and super().alive
 
     def call(self, kind: int, payload: tuple, *, resubmit: bool = False) -> Future:
         """Send one framed call; returns the future its response resolves.
@@ -446,12 +377,7 @@ class WorkerHandle:
             self._pending[req_id] = _Pending(
                 future, kind, payload if resubmit else None
             )
-        try:
-            self.conn.send(kind, (req_id,) + payload)
-        except OSError:
-            # The reader may not have observed the EOF yet; force the death
-            # path so this call is resubmitted (or failed) exactly once.
-            self._mark_dead()
+        self._send(req_id, kind, payload)
         return future
 
     def resubmit(self, pending: _Pending) -> None:
@@ -466,10 +392,20 @@ class WorkerHandle:
                 raise WorkerCrashed(f"worker {self.index} (pid {self.pid}) is down")
             new_id = next(self._req_ids)
             self._pending[new_id] = pending
+        self._send(new_id, pending.kind, pending.payload)
+
+    def _send(self, req_id: int, kind: int, payload: tuple) -> None:
         try:
-            self.conn.send(pending.kind, (new_id,) + pending.payload)
+            self.conn.send(kind, (req_id,) + payload)
         except OSError:
+            # The reader may not have observed the EOF yet; force the death
+            # path so this call is resubmitted (or failed) exactly once.
             self._mark_dead()
+        except BaseException:
+            # Never sent (e.g. a frame over the transport ceiling): a leaked
+            # entry would be replayed, and raise again, on the next crash.
+            self._take(req_id)
+            raise
 
     def ping(self) -> Future:
         """Heartbeat; the response marks the handle ready and stamps the pong."""
@@ -524,24 +460,7 @@ class WorkerHandle:
     def shutdown(self, drain: bool = True) -> None:
         """Ask the worker to drain (or fail fast) and exit; non-blocking."""
         self.draining = True
-        try:
-            self.conn.send(MSG_SHUTDOWN, (drain,))
-        except OSError:
-            pass
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        self.process.join(timeout=timeout)
-        return not self.process.is_alive()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Drain, then escalate to SIGTERM/SIGKILL if the worker lingers."""
-        self.shutdown(drain=True)
-        if not self.join(timeout=timeout):
-            self.process.terminate()
-            if not self.join(timeout=1.0):
-                self.process.kill()
-                self.join(timeout=1.0)
-        self.conn.close()
+        super().shutdown(drain)
 
 
 def _error_to_exception(kind: str, text: str) -> BaseException:

@@ -281,3 +281,37 @@ def test_fleet_stats_aggregate_across_workers(fleet_registry, request_rows):
         assert snap["latency_p50_ms"] <= snap["latency_p99_ms"]
     total = sum(s["requests_total"] for s in stats["models"].values())
     assert total == sum(per_model.values())
+
+
+# --------------------------------------------------------------------------- #
+# Frames over the transport ceiling
+# --------------------------------------------------------------------------- #
+@needs_fork
+def test_oversized_frame_fails_alone_and_a_later_crash_loses_nothing(
+    monkeypatch, sequential_design, request_rows
+):
+    """A request too big for one frame raises at submit and leaves no
+    pending entry behind: when the worker later dies, every other request
+    in flight is still resubmitted and resolves."""
+    import repro.serve.transport
+
+    design = sequential_design
+
+    def slow_kernel(X):
+        time.sleep(0.05)
+        return design.simulate_batch(X)
+
+    name = FLEET_MODELS[0]
+    registry = ModelRegistry()
+    registry.register(make_served_model(design, name=name, batch_fn=slow_kernel))
+    with make_fleet(registry, workers=1, max_batch_size=1, max_latency_ms=0.0) as fleet:
+        fleet.open_lane(name)
+        victim = fleet.stats()["workers"][0]["pid"]
+        monkeypatch.setattr(repro.serve.transport, "MAX_FRAME_BYTES", 4096)
+        with pytest.raises(ValueError, match="ceiling"):
+            fleet.submit(name, np.tile(request_rows, (64, 1)))
+
+        futures = [fleet.submit(name, request_rows[i : i + 1]) for i in range(6)]
+        os.kill(victim, signal.SIGKILL)
+        results = [int(f.result(timeout=10.0)[0]) for f in futures]
+        assert results == [int(i) for i in design.simulate_batch(request_rows[:6])]
